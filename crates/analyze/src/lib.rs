@@ -6,7 +6,7 @@
 //! with its Acquire load, the global order of nested lock
 //! acquisitions, or the promise that the wire-parsing path never
 //! panics. This crate lexes the workspace's Rust sources (no `syn`;
-//! offline-honest like the rest of the shims) and enforces four rules
+//! offline-honest like the rest of the shims) and enforces five rules
 //! driven by the declarative policy table in [`policy`]:
 //!
 //! 1. `panic_freedom` — no `unwrap`/`expect`/`panic!`-family macros in
@@ -17,6 +17,9 @@
 //! 3. `lock_order` — nested `.lock()`/`.read()`/`.write()`
 //!    acquisitions form a cross-function lock-order graph; cycles fail.
 //! 4. `unsafe_safety` — every `unsafe` needs `// SAFETY:` attached.
+//! 5. `blocking_under_lock` — no blocking I/O, `recv()`, `join()` or
+//!    `sleep` while a guard is live (a `Condvar` wait on that guard is
+//!    exempt).
 //!
 //! Suppression is explicit and audited: `// analyze: allow(<rule>,
 //! reason = "...")` — the reason is mandatory, and a malformed allow is

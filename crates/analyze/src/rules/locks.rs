@@ -91,7 +91,29 @@ struct Edge {
     via: String,
 }
 
+/// A blocking call made while guards were live (see
+/// [`crate::rules::blocking`]).
 #[derive(Debug)]
+pub struct BlockingSite {
+    /// The blocking method or function, e.g. `write_all`.
+    pub call: String,
+    /// Keys of the guards live at the call.
+    pub held: Vec<String>,
+    /// 1-based line of the call.
+    pub line: usize,
+}
+
+/// Calls that can block the thread indefinitely. `read`/`write` only
+/// count with arguments (empty parens are `RwLock` acquisitions, handled
+/// first); `join`/`recv`/`accept` only with empty parens
+/// (`[T]::join(sep)` and `Path::join(p)` do not block).
+const BLOCKING_WITH_ARGS: &[&str] = &["read", "write", "write_all", "sleep"];
+const BLOCKING_NO_ARGS: &[&str] = &["accept", "recv", "join"];
+/// `Condvar` waits: exempt when their guard argument is the only live
+/// guard — the wait releases it while blocked.
+const CONDVAR_WAITS: &[&str] = &["wait", "wait_timeout", "wait_while", "wait_timeout_while"];
+
+#[derive(Debug, Default)]
 struct FnFacts {
     /// Locks acquired directly in the body.
     direct: BTreeSet<String>,
@@ -101,6 +123,8 @@ struct FnFacts {
     held_calls: Vec<(String, Vec<String>, String, usize)>, // callee, held, path, line
     /// Direct lexical nesting edges.
     edges: Vec<Edge>,
+    /// Blocking calls made while at least one guard was held.
+    blocking: Vec<BlockingSite>,
 }
 
 enum HeldKind {
@@ -135,12 +159,7 @@ pub fn check(files: &[SourceFile], findings: &mut Vec<Finding>) {
             }
             let f = scan_fn(file, span.body_tokens.clone());
             all_edges.extend(f.edges.iter().cloned());
-            let entry = facts.entry(span.name.clone()).or_insert_with(|| FnFacts {
-                direct: BTreeSet::new(),
-                calls: BTreeSet::new(),
-                held_calls: Vec::new(),
-                edges: Vec::new(),
-            });
+            let entry = facts.entry(span.name.clone()).or_default();
             entry.direct.extend(f.direct);
             entry.calls.extend(f.calls);
             entry.held_calls.extend(f.held_calls);
@@ -339,16 +358,18 @@ fn tarjan(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Scan one function body for acquisitions, calls, and nesting edges.
+/// The blocking calls in one function body made while a guard is live,
+/// under the same guard-extent model as the lock-order graph.
+pub fn blocking_sites(file: &SourceFile, body_tokens: std::ops::Range<usize>) -> Vec<BlockingSite> {
+    scan_fn(file, body_tokens).blocking
+}
+
+/// Scan one function body for acquisitions, calls, nesting edges and
+/// blocking calls under a guard.
 fn scan_fn(file: &SourceFile, body_tokens: std::ops::Range<usize>) -> FnFacts {
     let sig: Vec<usize> = file.significant().collect();
     let toks: Vec<usize> = sig[body_tokens.start..body_tokens.end].to_vec();
-    let mut facts = FnFacts {
-        direct: BTreeSet::new(),
-        calls: BTreeSet::new(),
-        held_calls: Vec::new(),
-        edges: Vec::new(),
-    };
+    let mut facts = FnFacts::default();
     let mut held: Vec<Held> = Vec::new();
     let mut depth = 0i32;
     let mut stmt_first: Option<String> = None;
@@ -443,6 +464,11 @@ fn scan_fn(file: &SourceFile, body_tokens: std::ops::Range<usize>) -> FnFacts {
                     t += 3; // past `(` `)`
                     continue;
                 }
+                if !held.is_empty() {
+                    if let Some(site) = blocking_call(file, &toks, t, &held) {
+                        facts.blocking.push(site);
+                    }
+                }
                 // Call: ident followed by `(` (macros have `!` between,
                 // so they never match).
                 if file.tokens[toks[t]].kind == TokenKind::Ident
@@ -467,6 +493,48 @@ fn scan_fn(file: &SourceFile, body_tokens: std::ops::Range<usize>) -> FnFacts {
         t += 1;
     }
     facts
+}
+
+/// The blocking call at `toks[t]`, if it is one and some guard other
+/// than a `Condvar` wait's own stays live across it.
+fn blocking_call(
+    file: &SourceFile,
+    toks: &[usize],
+    t: usize,
+    held: &[Held],
+) -> Option<BlockingSite> {
+    let text_at = |u: usize| file.text_of(toks[u]);
+    let tok = text_at(t);
+    let called = t + 1 < toks.len() && text_at(t + 1) == "(";
+    // A method call or a path call (`::` lexes as two `:`).
+    let via = t >= 1 && matches!(text_at(t - 1), "." | ":");
+    if !called || !via {
+        return None;
+    }
+    let empty_args = t + 2 < toks.len() && text_at(t + 2) == ")";
+    let mut live: Vec<String> = held.iter().map(|h| h.key.clone()).collect();
+    if CONDVAR_WAITS.contains(&tok) {
+        // `cv.wait(guard)`: the wait releases `guard` while it blocks,
+        // so only the other live guards count.
+        let arg = (t + 2 < toks.len()).then(|| text_at(t + 2));
+        if let Some(own) = held.iter().position(
+            |h| matches!(&h.kind, HeldKind::Let { var: Some(v) } if Some(v.as_str()) == arg),
+        ) {
+            live.remove(own);
+        }
+        if live.is_empty() {
+            return None;
+        }
+    } else if !(BLOCKING_WITH_ARGS.contains(&tok) && !empty_args
+        || BLOCKING_NO_ARGS.contains(&tok) && empty_args)
+    {
+        return None;
+    }
+    Some(BlockingSite {
+        call: tok.to_string(),
+        held: live,
+        line: file.line_of(file.tokens[toks[t]].start),
+    })
 }
 
 /// Receiver key for the acquisition at `toks[t]` (the method ident):

@@ -4,6 +4,7 @@
 //! themselves — a suppression without a reason is a finding.
 
 pub mod atomics;
+pub mod blocking;
 pub mod locks;
 pub mod panics;
 pub mod unsafety;
@@ -17,6 +18,7 @@ pub fn run_file_rules(file: &SourceFile, findings: &mut Vec<Finding>) {
     panics::check(file, findings);
     atomics::check(file, findings);
     unsafety::check(file, findings);
+    blocking::check(file, findings);
 }
 
 /// Validate the allow annotations: the rule name must be known and a

@@ -31,6 +31,7 @@ pub const RULES: &[&str] = &[
     "atomic_ordering",
     "lock_order",
     "unsafe_safety",
+    "blocking_under_lock",
     "allow_syntax",
 ];
 

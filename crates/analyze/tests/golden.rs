@@ -25,7 +25,7 @@ fn fixtures_produce_exactly_the_expected_findings() {
         .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("rs"))
         .collect();
     paths.sort();
-    assert!(paths.len() >= 5, "expected the five seeded fixture files");
+    assert!(paths.len() >= 6, "expected the six seeded fixture files");
 
     let findings = analyze_paths(&root, &paths).expect("fixtures readable");
     assert!(!findings.is_empty(), "fixtures must trip the analyzer");
@@ -47,6 +47,7 @@ fn fixtures_produce_exactly_the_expected_findings() {
         "atomic_ordering",
         "lock_order",
         "unsafe_safety",
+        "blocking_under_lock",
         "allow_syntax",
     ] {
         assert!(

@@ -41,7 +41,8 @@
 //! * [`tenant`] — [`TenantId`], integer-math [`TokenBucket`] quotas
 //!   ([`QuotaConfig`]), per-tenant counters
 //!   ([`TenantState`] / [`TenantSnapshot`]) and the [`TenantRegistry`],
-//! * [`server`] — [`NetServer`]: nonblocking accept/connection loops,
+//! * [`server`] — [`NetServer`]: blocking accept thread and
+//!   per-connection reader/writer threads,
 //!   the deficit-round-robin scheduler, the dispatcher, and
 //!   tenant-labeled [`NetServer::metric_families`],
 //! * [`client`] — the blocking reference [`NetClient`] used by tests,

@@ -1,38 +1,62 @@
-//! The TCP front end: accept loop, per-connection poll threads, and the
-//! deficit-round-robin dispatcher feeding the sharded [`SimService`].
+//! The TCP front end: accept thread, per-connection reader and writer
+//! threads, and the deficit-round-robin dispatcher feeding the sharded
+//! [`SimService`].
 //!
 //! ```text
 //!  TCP clients      ┌────────────────────────── NetServer ─────────────────────────┐
-//!  Hello{tenant} ───┤ conn threads         DRR scheduler          dispatcher       │
+//!  Hello{tenant} ───┤ reader thread        DRR scheduler          dispatcher       │
 //!  Request ─────────┼▶ decode → route      [tenant 1  ████░]      try_submit_tagged│
 //!  Request ─────────┤  → arity → quota  ─▶ [tenant 2  █░░░░] ──▶  → SimService     │
-//!   └─ Error ◀──────┤  (token bucket)      quantum per turn        shards          │
-//!  Reply ◀──────────┴── per-conn reply stream ◀── scatter ◀── batcher flush ───────┘
+//!   └─ Error ◀──┐   │  (token bucket)      quantum per turn        shards          │
+//!  Reply ◀──────┴───┴── writer thread ◀── outbox ◀── scatter ◀── batcher flush ────┘
 //! ```
 //!
 //! Each connection authenticates one [`TenantId`] in its hello frame,
 //! then streams requests; admission control (unknown sim, arity, quota)
-//! happens on the connection thread, fair scheduling across tenants
-//! happens in the internal scheduler (deficit round robin, one queue
-//! per tenant), and a single dispatcher thread drains scheduled batches
-//! into the sharded service. Replies come back per-connection over the
-//! service's shared reply channel and are streamed out of order,
+//! happens on the connection's reader thread, fair scheduling across
+//! tenants happens in the internal scheduler (deficit round robin, one
+//! queue per tenant), and a single dispatcher thread drains scheduled
+//! batches into the sharded service. Replies are streamed out of order,
 //! correlated by `req_id`.
 //!
-//! Everything is plain blocking/nonblocking `std::net` — no async
-//! runtime exists in the offline build environment, so connections use
-//! nonblocking sockets with a yield-then-sleep poll loop.
+//! Everything is plain blocking `std::net` — no async runtime exists in
+//! the offline build environment — and every thread with nothing to do
+//! is blocked in exactly one wait, so an idle server costs no CPU:
+//!
+//! * **accept thread** — blocks in `accept`; each connection gets a
+//!   reader thread, registered with a clone of its stream.
+//! * **reader** (one per connection) — blocks in `read`, then decodes,
+//!   admits and enqueues. Before the hello it is the connection's only
+//!   thread; the hello spawns the writer.
+//! * **writer** (one per authenticated connection) — blocks on its
+//!   connection's outbox, the one place every outbound frame lands:
+//!   `HelloOk`, the service's replies (the outbox is the connection's
+//!   [`ReplyTarget`]), the reader's admission errors (`UnknownSim`,
+//!   `BadArity`, `QuotaExceeded`, scheduler spill-back `QueueFull`) and
+//!   the dispatcher's `QueueFull`. It encodes under the outbox lock and
+//!   writes after releasing it.
+//! * **dispatcher** — blocks on the scheduler's condition variable.
+//!
+//! A connection ends when its reader sees EOF, an I/O error or a
+//! protocol violation, or when its writer's write fails (the writer
+//! then shuts the socket down, which ends the reader's `read`). The
+//! reader closes the outbox, which wakes and ends the writer, joins it,
+//! and removes the connection from the registry. Shutdown wakes every
+//! blocked thread directly: a self-connect unblocks `accept`,
+//! `shutdown(Both)` on each registered stream unblocks its reader, the
+//! reader's exit unblocks its writer, and the stopped scheduler
+//! unblocks the dispatcher once the admitted work is drained.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ambipla_obs::{monotonic_ns, Event, EventKind, MetricFamily, MetricKind, Recorder, Sample};
-use ambipla_serve::{reply_channel, ReplySink, SharedSim, SimId, SimKey, SimService};
+use ambipla_serve::{ReplySink, ReplyTarget, SharedSim, SimId, SimKey, SimReply, SimService};
 
 use crate::protocol::{encode_frame, ErrorCode, Frame, FrameReader};
 use crate::tenant::{QuotaConfig, TenantId, TenantRegistry, TenantSnapshot, TenantState};
@@ -70,12 +94,65 @@ struct Route {
     mask: u64,
 }
 
-/// Error frames the dispatcher owes a connection (service-level
-/// `QueueFull` discovered after the scheduler already accepted the
-/// request).
+/// A connection's outbox: every frame owed to the client is pushed
+/// here, and the connection's writer thread blocks on `wake` until
+/// there is something to send.
 #[derive(Debug, Default)]
 struct ConnShared {
-    errors: Mutex<Vec<(u64, ErrorCode)>>,
+    out: Mutex<Outbox>,
+    wake: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Outbox {
+    frames: Vec<Frame>,
+    /// The writer is blocked on `wake`: only then does a push pay for a
+    /// notify.
+    parked: bool,
+    /// The connection has ended: the writer exits and later pushes are
+    /// dropped.
+    closed: bool,
+}
+
+impl ConnShared {
+    /// Queue frames (appended by `add`) for the writer and wake it if it
+    /// is parked. Lock poisoning is recovered as in the scheduler: the
+    /// outbox is a frame list plus two flags, consistent after every
+    /// mutation.
+    fn push(&self, add: impl FnOnce(&mut Vec<Frame>)) {
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        if out.closed {
+            return;
+        }
+        add(&mut out.frames);
+        let wake = std::mem::take(&mut out.parked);
+        drop(out);
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+
+    /// End the connection's output: drop what is queued and release the
+    /// writer.
+    fn close(&self) {
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        out.closed = true;
+        out.frames.clear();
+        drop(out);
+        self.wake.notify_one();
+    }
+}
+
+impl ReplyTarget for ConnShared {
+    fn deliver(&self, r: SimReply) {
+        self.push(|frames| {
+            frames.push(Frame::Reply {
+                req_id: r.tag,
+                epoch: r.epoch,
+                outputs: r.outputs,
+            })
+        });
+    }
 }
 
 /// One admitted request waiting for dispatch.
@@ -225,6 +302,22 @@ impl Scheduler {
     }
 }
 
+/// A live connection in the registry: the reader thread's handle and a
+/// clone of the stream, kept so shutdown can unblock the reader.
+struct ConnEntry {
+    stream: Arc<TcpStream>,
+    handle: JoinHandle<()>,
+}
+
+#[derive(Default)]
+struct ConnRegistry {
+    live: HashMap<u32, ConnEntry>,
+    /// The reader thread of the connection that ended last. A thread
+    /// cannot join itself, so each ending connection joins the one
+    /// before it: at most one finished thread is ever left unjoined.
+    finished: Option<JoinHandle<()>>,
+}
+
 /// Shared state between accept loop, connection threads and dispatcher.
 struct ServerCtx {
     service: Arc<SimService>,
@@ -234,7 +327,7 @@ struct ServerCtx {
     sched: Scheduler,
     recorder: Option<Arc<dyn Recorder>>,
     stop: AtomicBool,
-    conns: Mutex<Vec<JoinHandle<()>>>,
+    conns: Mutex<ConnRegistry>,
     conn_seq: AtomicU32,
 }
 
@@ -242,6 +335,22 @@ impl ServerCtx {
     fn record(&self, kind: EventKind) {
         if let Some(r) = &self.recorder {
             r.record(Event::now(kind));
+        }
+    }
+
+    /// Remove an ended connection from the registry and join the
+    /// connection that ended before it.
+    fn retire(&self, slot: u32) {
+        let previous = {
+            let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
+            match conns.live.remove(&slot) {
+                Some(entry) => conns.finished.replace(entry.handle),
+                // Shutdown already took the entry and joins it.
+                None => None,
+            }
+        };
+        if let Some(h) = previous {
+            let _ = h.join();
         }
     }
 }
@@ -306,7 +415,6 @@ impl NetServer {
         recorder: Option<Arc<dyn Recorder>>,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let ctx = Arc::new(ServerCtx {
             service,
@@ -315,7 +423,7 @@ impl NetServer {
             sched: Scheduler::new(config.quantum, config.tenant_pending),
             recorder,
             stop: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(ConnRegistry::default()),
             conn_seq: AtomicU32::new(0),
         });
         let accept_ctx = Arc::clone(&ctx);
@@ -324,27 +432,21 @@ impl NetServer {
         let accept = std::thread::Builder::new()
             .name("ambipla-net-accept".into())
             .spawn(move || accept_loop(listener, accept_ctx))?;
-        let disp_ctx = Arc::clone(&ctx);
-        let dispatcher = match std::thread::Builder::new()
-            .name("ambipla-net-dispatch".into())
-            .spawn(move || dispatch_loop(disp_ctx))
-        {
-            Ok(handle) => handle,
-            Err(e) => {
-                // Unwind the half-started server: stop the accept loop
-                // and reap it before reporting the error.
-                ctx.stop.store(true, Ordering::Relaxed);
-                ctx.sched.stop();
-                let _ = accept.join();
-                return Err(e);
-            }
-        };
-        Ok(NetServer {
+        let mut server = NetServer {
             ctx,
             accept: Some(accept),
-            dispatcher: Some(dispatcher),
+            dispatcher: None,
             addr,
-        })
+        };
+        let disp_ctx = Arc::clone(&server.ctx);
+        // On failure `server` drops here, which stops and reaps the
+        // accept thread before the error is reported.
+        server.dispatcher = Some(
+            std::thread::Builder::new()
+                .name("ambipla-net-dispatch".into())
+                .spawn(move || dispatch_loop(disp_ctx))?,
+        );
+        Ok(server)
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -462,21 +564,33 @@ impl NetServer {
 
     fn stop_threads(&mut self) {
         // Relaxed store/load on the stop flag: it is a standalone
-        // cooperative-shutdown bit guarding no other data, and the
-        // thread joins below provide the synchronization for everything
-        // the loops touched. SeqCst would buy nothing here.
+        // shutdown bit guarding no other data, and the thread joins
+        // below provide the synchronization for everything the loops
+        // touched. SeqCst would buy nothing here.
         self.ctx.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // If the listener cannot be reached the accept thread stays
+            // blocked; leave it detached rather than hang shutdown.
+            if wake_listener(self.addr) || h.is_finished() {
+                let _ = h.join();
+            }
         }
-        let conns: Vec<JoinHandle<()>> = std::mem::take(
-            &mut *self
+        // No connection registers after the accept thread is gone.
+        let (live, finished) = {
+            let mut conns = self
                 .ctx
                 .conns
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        for h in conns {
+                .unwrap_or_else(PoisonError::into_inner);
+            (std::mem::take(&mut conns.live), conns.finished.take())
+        };
+        for entry in live.values() {
+            let _ = entry.stream.shutdown(Shutdown::Both);
+        }
+        for (_, entry) in live {
+            let _ = entry.handle.join();
+        }
+        if let Some(h) = finished {
             let _ = h.join();
         }
         // Connections are gone; drain whatever they admitted, then stop.
@@ -499,35 +613,61 @@ impl Drop for NetServer {
     }
 }
 
+/// Bound on the shutdown self-connect; a loopback connect to a live
+/// listener completes at once.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Unblock the accept thread's `accept` with a throwaway connection to
+/// the listener; the thread then sees the stop flag and exits.
+fn wake_listener(addr: SocketAddr) -> bool {
+    let mut to = addr;
+    if to.ip().is_unspecified() {
+        to.set_ip(if to.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    TcpStream::connect_timeout(&to, WAKE_TIMEOUT).is_ok()
+}
+
 fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
-    // Relaxed load: cooperative stop flag, synchronized by join (see
-    // stop_threads).
-    while !ctx.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Relaxed: monotonic connection-id allocator; ids only
-                // need uniqueness, not ordering against other data.
-                let slot = ctx.conn_seq.fetch_add(1, Ordering::Relaxed);
-                let conn_ctx = Arc::clone(&ctx);
-                match std::thread::Builder::new()
-                    .name(format!("ambipla-net-conn-{slot}"))
-                    .spawn(move || conn_loop(stream, slot, conn_ctx))
-                {
-                    Ok(handle) => ctx
-                        .conns
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(handle),
-                    // Spawn failure (fd/thread exhaustion): drop the
-                    // stream, refusing this connection, and keep serving
-                    // the ones we have.
-                    Err(_) => continue,
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(500));
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                ) =>
+            {
+                continue
             }
             Err(_) => break,
+        };
+        // Relaxed load: stop flag, synchronized by join (see
+        // stop_threads).
+        if ctx.stop.load(Ordering::Relaxed) {
+            break;
+        }
+        // Relaxed: monotonic connection-id allocator; ids only need
+        // uniqueness, not ordering against other data.
+        let slot = ctx.conn_seq.fetch_add(1, Ordering::Relaxed);
+        let stream = Arc::new(stream);
+        let conn_stream = Arc::clone(&stream);
+        let conn_ctx = Arc::clone(&ctx);
+        let run = move || {
+            serve_conn(&conn_stream, slot, &conn_ctx);
+            conn_ctx.retire(slot);
+        };
+        let builder = std::thread::Builder::new().name(format!("ambipla-net-conn-{slot}"));
+        // Spawn under the registry lock, so the connection cannot retire
+        // before its entry exists.
+        let mut conns = ctx.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        // Spawn failure (fd/thread exhaustion) drops the stream, refusing
+        // this connection; the ones we have keep being served.
+        if let Ok(handle) = builder.spawn(run) {
+            conns.live.insert(slot, ConnEntry { stream, handle });
         }
     }
 }
@@ -535,206 +675,167 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
 fn dispatch_loop(ctx: Arc<ServerCtx>) {
     while let Some(batch) = ctx.sched.next_batch() {
         for p in batch {
-            match ctx
+            if ctx
                 .service
                 .try_submit_tagged(p.route.id, p.bits, p.req_id, &p.sink)
+                .is_err()
             {
-                Ok(()) => {}
-                Err(_) => {
-                    p.tenant.record_queue_full();
-                    p.conn
-                        .errors
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((p.req_id, ErrorCode::QueueFull));
-                }
+                p.tenant.record_queue_full();
+                p.conn.push(|frames| {
+                    frames.push(Frame::Error {
+                        req_id: p.req_id,
+                        code: ErrorCode::QueueFull,
+                    })
+                });
             }
         }
     }
 }
 
-/// Poll-loop idle backoff: spin `YIELDS` scheduler yields, then sleep.
-const IDLE_YIELDS: u32 = 64;
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-    /// Pending outbound bytes (encoded frames) and the write cursor.
-    out: Vec<u8>,
-    out_pos: usize,
-    rbuf: Vec<u8>,
-}
-
-impl Conn {
-    /// Nonblocking read; `Ok(true)` = progress, `Ok(false)` = would
-    /// block, `Err` = EOF or hard error (drop the connection).
-    fn pump_read(&mut self) -> Result<bool, ()> {
-        match self.stream.read(&mut self.rbuf) {
-            Ok(0) => Err(()),
-            Ok(n) => {
-                self.reader.extend(&self.rbuf[..n]);
-                Ok(true)
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
-            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(false),
-            Err(_) => Err(()),
-        }
-    }
-
-    /// Nonblocking write of buffered frames; same contract as
-    /// [`pump_read`](Conn::pump_read).
-    fn pump_write(&mut self) -> Result<bool, ()> {
-        if self.out_pos == self.out.len() {
-            if !self.out.is_empty() {
-                self.out.clear();
-                self.out_pos = 0;
-            }
-            return Ok(false);
-        }
-        match self.stream.write(&self.out[self.out_pos..]) {
-            Ok(0) => Err(()),
-            Ok(n) => {
-                self.out_pos += n;
-                if self.out_pos == self.out.len() {
-                    self.out.clear();
-                    self.out_pos = 0;
-                }
-                Ok(true)
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
-            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(false),
-            Err(_) => Err(()),
-        }
-    }
-
-    fn queue_frame(&mut self, frame: &Frame) {
-        encode_frame(frame, &mut self.out);
-    }
-}
-
-/// Wait for the client's `Hello` and answer `HelloOk`.
-///
-/// Returns the authenticated tenant, or `None` if the stream errored,
-/// sent garbage, opened with any other frame, or the server stopped.
-fn hello_phase(conn: &mut Conn, ctx: &ServerCtx) -> Option<TenantId> {
-    let mut idle = 0u32;
+/// Block until more bytes arrive and append them to `frames`; `false`
+/// on EOF (including a shutdown socket) or a hard error.
+fn fill(stream: &TcpStream, frames: &mut FrameReader, rbuf: &mut [u8]) -> bool {
     loop {
-        // Relaxed: cooperative stop flag, synchronized by thread join.
-        if ctx.stop.load(Ordering::Relaxed) {
-            return None;
-        }
-        match conn.reader.next_frame() {
-            Ok(Some(Frame::Hello { tenant })) => {
-                conn.queue_frame(&Frame::HelloOk);
-                return Some(tenant);
+        match (&*stream).read(rbuf) {
+            Ok(0) => return false,
+            Ok(n) => {
+                frames.extend(&rbuf[..n]);
+                return true;
             }
-            Ok(Some(_)) => return None,
-            Err(_) => return None,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+}
+
+/// Wait for the client's `Hello`. Returns the tenant it names, or
+/// `None` if the stream ended, sent garbage or opened with any other
+/// frame.
+fn hello_phase(stream: &TcpStream, frames: &mut FrameReader, rbuf: &mut [u8]) -> Option<TenantId> {
+    loop {
+        match frames.next_frame() {
+            Ok(Some(Frame::Hello { tenant })) => return Some(tenant),
+            Ok(Some(_)) | Err(_) => return None,
             Ok(None) => {}
         }
-        match conn.pump_read() {
-            Ok(true) => idle = 0,
-            Ok(false) => {
-                idle += 1;
-                if idle <= IDLE_YIELDS {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(IDLE_SLEEP);
-                }
-            }
-            Err(()) => return None,
+        if !fill(stream, frames, rbuf) {
+            return None;
         }
     }
 }
 
-fn conn_loop(stream: TcpStream, conn_slot: u32, ctx: Arc<ServerCtx>) {
-    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+/// The writer: send whatever the outbox holds, then block until it
+/// holds more. Exits when the outbox closes or a write fails.
+fn write_loop(stream: &TcpStream, conn: &ConnShared, tenant: &TenantState) {
+    let mut buf = Vec::new();
+    loop {
+        {
+            let mut out = conn.out.lock().unwrap_or_else(PoisonError::into_inner);
+            while out.frames.is_empty() && !out.closed {
+                out.parked = true;
+                out = conn.wake.wait(out).unwrap_or_else(PoisonError::into_inner);
+            }
+            out.parked = false;
+            if out.closed {
+                return;
+            }
+            for frame in out.frames.drain(..) {
+                if matches!(frame, Frame::Reply { .. }) {
+                    tenant.record_reply();
+                }
+                encode_frame(&frame, &mut buf);
+            }
+        }
+        if (&*stream).write_all(&buf).is_err() {
+            // The client is gone or stopped reading: end the connection,
+            // which also ends the reader's blocked `read`.
+            let _ = stream.shutdown(Shutdown::Both);
+            conn.close();
+            return;
+        }
+        buf.clear();
+    }
+}
+
+/// One connection's reader: hello, then decode → route → arity → quota
+/// → scheduler until the stream ends.
+fn serve_conn(stream: &Arc<TcpStream>, conn_slot: u32, ctx: &ServerCtx) {
+    if stream.set_nodelay(true).is_err() {
         return;
     }
-    let mut conn = Conn {
-        stream,
-        reader: FrameReader::new(),
-        out: Vec::new(),
-        out_pos: 0,
-        rbuf: vec![0u8; 16 * 1024],
-    };
-    let Some(tenant_id) = hello_phase(&mut conn, &ctx) else {
+    let mut frames = FrameReader::new();
+    let mut rbuf = vec![0u8; 16 * 1024];
+    let Some(tenant_id) = hello_phase(stream, &mut frames, &mut rbuf) else {
         return;
     };
     let tenant = ctx.tenants.get_or_create(tenant_id, monotonic_ns());
+    let shared = Arc::new(ConnShared::default());
+    shared.push(|out| out.push(Frame::HelloOk));
+    let writer = {
+        let stream = Arc::clone(stream);
+        let shared = Arc::clone(&shared);
+        let tenant = Arc::clone(&tenant);
+        std::thread::Builder::new()
+            .name(format!("ambipla-net-conn-{conn_slot}w"))
+            .spawn(move || write_loop(&stream, &shared, &tenant))
+    };
+    let Ok(writer) = writer else {
+        return;
+    };
     tenant.record_connect();
     ctx.record(EventKind::Accept {
         tenant: tenant_id.raw(),
         slot: conn_slot,
     });
     let slot = ctx.sched.tenant_slot(tenant_id.raw());
-    let shared = Arc::new(ConnShared::default());
-    let (sink, replies) = reply_channel();
+    let sink = ReplySink::new(Arc::clone(&shared) as Arc<dyn ReplyTarget>);
     let mut admitted: Vec<Pending> = Vec::new();
-    let mut idle = 0u32;
+    let mut rejects: Vec<Frame> = Vec::new();
     let mut alive = true;
 
-    // Relaxed: cooperative stop flag, synchronized by thread join.
-    while alive && !ctx.stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-
-        // 1. Pull bytes off the socket.
-        match conn.pump_read() {
-            Ok(p) => progress |= p,
-            Err(()) => alive = false,
-        }
-
-        // 2. Decode and admit requests.
+    // Frames that arrived with the hello are decoded before the first
+    // blocking read.
+    loop {
         loop {
-            match conn.reader.next_frame() {
+            match frames.next_frame() {
                 Ok(Some(Frame::Request { req_id, sim, bits })) => {
-                    progress = true;
                     let route = ctx
                         .routes
                         .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .unwrap_or_else(PoisonError::into_inner)
                         .get(&sim.raw())
                         .copied();
-                    match route {
+                    let code = match route {
                         None => {
                             tenant.record_unknown_sim();
-                            conn.queue_frame(&Frame::Error {
-                                req_id,
-                                code: ErrorCode::UnknownSim,
-                            });
+                            ErrorCode::UnknownSim
                         }
                         Some(route) if bits & !route.mask != 0 => {
                             tenant.record_bad_arity();
-                            conn.queue_frame(&Frame::Error {
+                            ErrorCode::BadArity
+                        }
+                        Some(route) if tenant.try_take_token(monotonic_ns()) => {
+                            tenant.record_accepted();
+                            admitted.push(Pending {
+                                route,
+                                bits,
                                 req_id,
-                                code: ErrorCode::BadArity,
+                                sink: sink.clone(),
+                                tenant: Arc::clone(&tenant),
+                                conn: Arc::clone(&shared),
                             });
+                            continue;
                         }
                         Some(route) => {
-                            if tenant.try_take_token(monotonic_ns()) {
-                                tenant.record_accepted();
-                                admitted.push(Pending {
-                                    route,
-                                    bits,
-                                    req_id,
-                                    sink: sink.clone(),
-                                    tenant: Arc::clone(&tenant),
-                                    conn: Arc::clone(&shared),
-                                });
-                            } else {
-                                tenant.record_quota_reject();
-                                ctx.record(EventKind::QuotaReject {
-                                    tenant: tenant_id.raw(),
-                                    slot: route.id.slot_index(),
-                                });
-                                conn.queue_frame(&Frame::Error {
-                                    req_id,
-                                    code: ErrorCode::QuotaExceeded,
-                                });
-                            }
+                            tenant.record_quota_reject();
+                            ctx.record(EventKind::QuotaReject {
+                                tenant: tenant_id.raw(),
+                                slot: route.id.slot_index(),
+                            });
+                            ErrorCode::QuotaExceeded
                         }
-                    }
+                    };
+                    rejects.push(Frame::Error { req_id, code });
                 }
                 // Anything else post-hello is a protocol violation.
                 Ok(Some(_)) | Err(_) => {
@@ -745,60 +846,31 @@ fn conn_loop(stream: TcpStream, conn_slot: u32, ctx: Arc<ServerCtx>) {
             }
         }
 
-        // 3. Hand admitted requests to the fair scheduler; over-cap
-        //    spillback becomes QueueFull errors right here.
+        // Hand admitted requests to the fair scheduler; over-cap
+        // spill-back becomes QueueFull errors right here.
         if !admitted.is_empty() {
-            progress = true;
             for p in ctx.sched.enqueue(slot, std::mem::take(&mut admitted)) {
                 p.tenant.record_queue_full();
-                conn.queue_frame(&Frame::Error {
+                rejects.push(Frame::Error {
                     req_id: p.req_id,
                     code: ErrorCode::QueueFull,
                 });
             }
         }
-
-        // 4. Errors the dispatcher reported for this connection.
-        {
-            let mut errs = shared
-                .errors
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (req_id, code) in errs.drain(..) {
-                progress = true;
-                conn.queue_frame(&Frame::Error { req_id, code });
-            }
+        if !rejects.is_empty() {
+            shared.push(|out| out.append(&mut rejects));
+            rejects.clear();
         }
-
-        // 5. Stream replies back, out of order, correlated by tag.
-        while let Some(r) = replies.try_recv() {
-            progress = true;
-            tenant.record_reply();
-            conn.queue_frame(&Frame::Reply {
-                req_id: r.tag,
-                epoch: r.epoch,
-                outputs: r.outputs,
-            });
-        }
-
-        // 6. Push queued bytes out.
-        match conn.pump_write() {
-            Ok(p) => progress |= p,
-            Err(()) => alive = false,
-        }
-
-        if progress {
-            idle = 0;
-        } else {
-            idle += 1;
-            if idle <= IDLE_YIELDS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
+        if !alive || !fill(stream, &mut frames, &mut rbuf) {
+            break;
         }
     }
 
+    shared.close();
+    // Unblock a writer stuck in `write_all` to a client that stopped
+    // reading.
+    let _ = stream.shutdown(Shutdown::Both);
+    let _ = writer.join();
     tenant.record_disconnect();
     ctx.record(EventKind::Disconnect {
         tenant: tenant_id.raw(),
@@ -809,7 +881,7 @@ fn conn_loop(stream: TcpStream, conn_slot: u32, ctx: Arc<ServerCtx>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ambipla_serve::ServeConfig;
+    use ambipla_serve::{reply_channel, ServeConfig};
     use logic::Cover;
 
     fn xor() -> Cover {
@@ -990,6 +1062,189 @@ mod tests {
         assert_eq!((ok, rejected), (3, 2));
         let stats = server.tenant_stats();
         assert_eq!(stats[0].quota_rejected, 2);
+        server.shutdown();
+    }
+
+    /// How long a wake-path test waits before declaring the server hung.
+    const HANG: Duration = Duration::from_secs(5);
+
+    /// Run `f` on its own thread and fail the test if it has not
+    /// finished within [`HANG`].
+    fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(HANG)
+            .unwrap_or_else(|_| panic!("{what} did not finish within {HANG:?}"))
+    }
+
+    fn xor_server(config: ServeConfig) -> (Arc<SimService>, NetServer, SimKey) {
+        let service = Arc::new(SimService::start(config).expect("valid config"));
+        let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service), NetConfig::default())
+            .expect("bind");
+        let key = SimKey::new(3);
+        server.register_sim(Arc::new(xor()), key);
+        (service, server, key)
+    }
+
+    fn hello_bytes(tenant: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_frame(
+            &Frame::Hello {
+                tenant: TenantId::new(tenant),
+            },
+            &mut buf,
+        );
+        buf
+    }
+
+    #[test]
+    fn dispatcher_queue_full_reaches_an_idle_connection() {
+        // Depth 1 and a deadline far beyond the test: the first request
+        // parks in the batcher, the second is refused by the service
+        // after the scheduler accepted it.
+        let (_service, server, key) = xor_server(ServeConfig {
+            queue_depth: 1,
+            max_wait: Duration::from_secs(60),
+            ..ServeConfig::default()
+        });
+        let mut client = crate::client::NetClient::connect(server.local_addr(), TenantId::new(1))
+            .expect("connect");
+        client.queue_request(key, 1, 0b01);
+        client.queue_request(key, 2, 0b10);
+        client.flush().expect("flush");
+        // The client writes nothing more; only the dispatcher's push can
+        // wake the writer.
+        let frame = within_deadline("QueueFull delivery", move || client.recv().expect("recv"));
+        assert_eq!(
+            frame,
+            Frame::Error {
+                req_id: 2,
+                code: ErrorCode::QueueFull
+            }
+        );
+        assert_eq!(server.tenant_stats()[0].queue_full, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn pipelined_burst_gets_every_reply_without_further_writes() {
+        const BURST: u64 = 1000;
+        let (_service, server, key) = xor_server(ServeConfig {
+            max_wait: Duration::from_micros(100),
+            queue_depth: BURST as usize,
+            ..ServeConfig::default()
+        });
+        let mut client = crate::client::NetClient::connect(server.local_addr(), TenantId::new(1))
+            .expect("connect");
+        for req_id in 0..BURST {
+            client.queue_request(key, req_id, req_id % 4);
+        }
+        client.flush().expect("flush");
+        let frames = within_deadline("pipelined burst", move || {
+            (0..BURST)
+                .map(|_| client.recv().expect("recv"))
+                .collect::<Vec<_>>()
+        });
+        let mut seen = vec![false; BURST as usize];
+        for frame in frames {
+            match frame {
+                Frame::Reply {
+                    req_id, outputs, ..
+                } => {
+                    let bits = req_id % 4;
+                    assert_eq!(outputs, vec![bits == 0b01 || bits == 0b10]);
+                    assert!(!std::mem::replace(&mut seen[req_id as usize], true));
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(server.tenant_stats()[0].replies, BURST);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_unblocks_silent_idle_and_mid_frame_connections() {
+        let (_service, server, _key) = xor_server(ServeConfig::default());
+        let addr = server.local_addr();
+        // A socket that never says hello.
+        let silent = TcpStream::connect(addr).expect("connect silent");
+        // An authenticated connection with nothing in flight.
+        let idle = crate::client::NetClient::connect(addr, TenantId::new(1)).expect("connect");
+        // A client that stops halfway through its first request.
+        let mut partial = TcpStream::connect(addr).expect("connect partial");
+        let mut bytes = hello_bytes(2);
+        let hello_len = bytes.len();
+        encode_frame(
+            &Frame::Request {
+                req_id: 1,
+                sim: SimKey::new(3),
+                bits: 0,
+            },
+            &mut bytes,
+        );
+        partial
+            .write_all(&bytes[..hello_len + 5])
+            .expect("write partial");
+        // Wait until both hellos were served, so the three connections
+        // are in their three states when shutdown begins.
+        let mut ok = [0u8; 64];
+        let mut got = 0;
+        while got == 0 {
+            got = partial.read(&mut ok).expect("read HelloOk");
+        }
+        let ctx = Arc::clone(&server.ctx);
+        assert_eq!(
+            ctx.conns
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .live
+                .len(),
+            3
+        );
+        within_deadline("shutdown", move || server.shutdown());
+        // Every server thread has exited and dropped its context handle.
+        assert_eq!(Arc::strong_count(&ctx), 1);
+        let conns = ctx.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(conns.live.is_empty() && conns.finished.is_none());
+        drop((silent, idle, partial));
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let (_service, server, key) = xor_server(ServeConfig {
+            max_wait: Duration::from_micros(100),
+            ..ServeConfig::default()
+        });
+        let ctx = Arc::clone(&server.ctx);
+        let registry = || {
+            let conns = ctx.conns.lock().unwrap_or_else(PoisonError::into_inner);
+            (conns.live.len(), usize::from(conns.finished.is_some()))
+        };
+        for cycle in 0..300u64 {
+            let mut client =
+                crate::client::NetClient::connect(server.local_addr(), TenantId::new(1))
+                    .expect("connect");
+            let reply = client.call(key, cycle, 0b01).expect("call");
+            assert!(matches!(reply, Frame::Reply { .. }), "{reply:?}");
+            drop(client);
+        }
+        // Closing is seen asynchronously: spin until the last readers
+        // have noticed their EOF (microseconds on loopback).
+        let deadline = std::time::Instant::now() + HANG;
+        while registry().0 > 0 {
+            assert!(std::time::Instant::now() < deadline, "{:?}", registry());
+            std::hint::spin_loop();
+        }
+        // Nothing is open: no live entry, and of the 300 ended reader
+        // threads only the very last is still unjoined.
+        assert!(registry().1 <= 1);
+        assert_eq!(server.tenant_stats()[0].connections, 0);
+        // One open connection is one live entry.
+        let _open = crate::client::NetClient::connect(server.local_addr(), TenantId::new(1))
+            .expect("connect");
+        assert_eq!(registry().0, 1);
         server.shutdown();
     }
 }

@@ -32,7 +32,8 @@
 //! independent of the configured width. Sub-blocks that hit are copied
 //! from the cache; the misses are gathered into one narrower block and
 //! evaluated with a single `eval_words` call. Results are scattered back
-//! to callers over per-request or shared reply channels. Backpressure is
+//! to callers over per-request or shared reply channels, or into a
+//! caller's [`ReplyTarget`]. Backpressure is
 //! opt-in per submission: [`SimService::try_submit`] refuses with
 //! [`QueueFull`] once a simulator's pending queue reaches
 //! `ServeConfig::queue_depth`, while the plain `submit` paths stay
@@ -368,9 +369,40 @@ pub struct SimReply {
     pub outputs: Vec<bool>,
 }
 
-/// Sending half of a shared reply channel (clonable; one per client).
+/// Where a [`ReplySink`] delivers. A reply channel's sending half is
+/// one target; the network front end's per-connection outbox, which
+/// wakes that connection's writer thread, is another.
+///
+/// `deliver` runs on a batcher thread inside the flush scatter loop, so
+/// it must not block: queue the reply and signal, nothing more.
+pub trait ReplyTarget: Send + Sync + fmt::Debug {
+    /// Accept one reply. A target whose consumer is gone drops it.
+    fn deliver(&self, reply: SimReply);
+}
+
+impl ReplyTarget for Sender<SimReply> {
+    fn deliver(&self, reply: SimReply) {
+        // A client may have dropped its ticket or stream; that is not
+        // an error.
+        let _ = self.send(reply);
+    }
+}
+
+/// Sending half of a shared reply channel (clonable; one per client),
+/// or any other [`ReplyTarget`].
 #[derive(Debug, Clone)]
-pub struct ReplySink(Sender<SimReply>);
+pub struct ReplySink(Arc<dyn ReplyTarget>);
+
+impl ReplySink {
+    /// A sink that delivers every reply to `target`.
+    pub fn new(target: Arc<dyn ReplyTarget>) -> ReplySink {
+        ReplySink(target)
+    }
+
+    fn channel(tx: Sender<SimReply>) -> ReplySink {
+        ReplySink(Arc::new(tx))
+    }
+}
 
 /// Receiving half of a shared reply channel.
 #[derive(Debug)]
@@ -398,7 +430,7 @@ impl ReplyStream {
 /// one channel allocation per client instead of one per request.
 pub fn reply_channel() -> (ReplySink, ReplyStream) {
     let (tx, rx) = channel();
-    (ReplySink(tx), ReplyStream(rx))
+    (ReplySink::channel(tx), ReplyStream(rx))
 }
 
 /// Pending response handle of a single [`SimService::submit`] call.
@@ -468,7 +500,7 @@ enum Msg {
         id: usize,
         bits: u64,
         tag: u64,
-        reply: Sender<SimReply>,
+        reply: ReplySink,
     },
     Swap {
         id: usize,
@@ -727,7 +759,7 @@ impl SimService {
         let (tx, rx) = channel();
         let slot = self.slot(sim);
         slot.pending.fetch_add(1, Ordering::Relaxed);
-        self.submit_raw(&slot, sim, bits, 0, tx);
+        self.submit_raw(&slot, sim, bits, 0, ReplySink::channel(tx));
         SimTicket(rx)
     }
 
@@ -756,7 +788,7 @@ impl SimService {
             return Err(QueueFull { depth });
         }
         let (tx, rx) = channel();
-        self.submit_raw(&slot, sim, bits, 0, tx);
+        self.submit_raw(&slot, sim, bits, 0, ReplySink::channel(tx));
         Ok(SimTicket(rx))
     }
 
@@ -766,7 +798,7 @@ impl SimService {
     pub fn submit_tagged(&self, sim: SimId, bits: u64, tag: u64, reply: &ReplySink) {
         let slot = self.slot(sim);
         slot.pending.fetch_add(1, Ordering::Relaxed);
-        self.submit_raw(&slot, sim, bits, tag, reply.0.clone());
+        self.submit_raw(&slot, sim, bits, tag, reply.clone());
     }
 
     /// Bounded tagged submission: [`SimService::submit_tagged`] with
@@ -799,7 +831,7 @@ impl SimService {
             }
             return Err(QueueFull { depth });
         }
-        self.submit_raw(&slot, sim, bits, tag, reply.0.clone());
+        self.submit_raw(&slot, sim, bits, tag, reply.clone());
         Ok(())
     }
 
@@ -818,14 +850,7 @@ impl SimService {
         Arc::clone(slots.get(sim.slot).expect("unregistered sim id"))
     }
 
-    fn submit_raw(
-        &self,
-        slot: &SlotState,
-        sim: SimId,
-        bits: u64,
-        tag: u64,
-        reply: Sender<SimReply>,
-    ) {
+    fn submit_raw(&self, slot: &SlotState, sim: SimId, bits: u64, tag: u64, reply: ReplySink) {
         slot.stats.record_request();
         self.shards[slot.shard]
             .tx
@@ -957,7 +982,7 @@ struct Registered {
     /// by `RegStats::begin_epoch` on every swap.
     epoch_stats: Arc<EpochStats>,
     vectors: Vec<u64>,
-    replies: Vec<(u64, Sender<SimReply>)>,
+    replies: Vec<(u64, ReplySink)>,
     opened: Option<Instant>,
     /// Packed input block, `n_inputs × words`, signal-major.
     packed: Vec<u64>,
@@ -1076,7 +1101,7 @@ impl Registered {
                 }));
             }
             for (lane, (tag, reply)) in self.replies.drain(..).enumerate() {
-                let _ = reply.send(SimReply {
+                reply.0.deliver(SimReply {
                     tag,
                     epoch: self.epoch,
                     outputs: table.lookup_bits(self.vectors[lane]),
@@ -1206,8 +1231,7 @@ impl Registered {
         // unpacked, which is what makes partial (deadline) blocks safe —
         // see `logic::eval::lane_mask`.
         for (lane, (tag, reply)) in self.replies.drain(..).enumerate() {
-            // A client may have dropped its ticket; that is not an error.
-            let _ = reply.send(SimReply {
+            reply.0.deliver(SimReply {
                 tag,
                 epoch: self.epoch,
                 outputs: unpack_lane_words(&self.out, lane, words),
@@ -1853,7 +1877,7 @@ mod tests {
         let (tx, rx) = channel();
         for i in 0..128u64 {
             reg.vectors.push(i % 8); // both 64-lane halves pack identically
-            reg.replies.push((i, tx.clone()));
+            reg.replies.push((i, ReplySink::channel(tx.clone())));
         }
         reg.flush(FlushCause::Full, &cache, &None);
         for _ in 0..128 {
@@ -1890,7 +1914,7 @@ mod tests {
         for round in 0..2 {
             for i in 0..130u64 {
                 reg.vectors.push(i % 8);
-                reg.replies.push((i, tx.clone()));
+                reg.replies.push((i, ReplySink::channel(tx.clone())));
             }
             reg.flush(FlushCause::Deadline, &cache, &None);
             for _ in 0..130 {
@@ -1934,7 +1958,7 @@ mod tests {
         // Warm exactly one sub-block: lanes 0..64 of the wide flush below.
         for i in 0..64u64 {
             reg.vectors.push(i % 8);
-            reg.replies.push((i, tx.clone()));
+            reg.replies.push((i, ReplySink::channel(tx.clone())));
         }
         reg.flush(FlushCause::Deadline, &cache, &None);
         for _ in 0..64 {
@@ -1946,7 +1970,7 @@ mod tests {
         // is fresh.
         for i in 0..128u64 {
             reg.vectors.push(if i < 64 { i % 8 } else { (i + 3) % 8 });
-            reg.replies.push((i, tx.clone()));
+            reg.replies.push((i, ReplySink::channel(tx.clone())));
         }
         reg.flush(FlushCause::Full, &cache, &None);
         for _ in 0..128 {

@@ -127,8 +127,8 @@ pub use logic::eval::LANES;
 
 pub use ambipla_core::{cover_hash, Simulator, WorkerPool};
 pub use batcher::{
-    reply_channel, shard_for_key, ConfigError, QueueFull, ReplySink, ReplyStream, ServeConfig,
-    SharedSim, SimId, SimReply, SimService, SimTicket, TierPolicy,
+    reply_channel, shard_for_key, ConfigError, QueueFull, ReplySink, ReplyStream, ReplyTarget,
+    ServeConfig, SharedSim, SimId, SimReply, SimService, SimTicket, TierPolicy,
 };
 pub use cache::{BlockCache, BlockKey, SimKey};
 pub use export::metric_families;

@@ -213,7 +213,12 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
                     let (sink, stream) = reply_channel();
                     let mut submitted = 0u64;
                     let mut epochs = BTreeSet::new();
-                    while running.load(Ordering::Relaxed) {
+                    loop {
+                        // One more burst after the mutator stops: its
+                        // last swap returned before `running` cleared,
+                        // so this burst is served under the final epoch.
+                        // Acquire pairs with the mutator's Release store.
+                        let last = !running.load(Ordering::Acquire);
                         // Burst-submit, then drain the burst: the input
                         // bits ride in the tag, so each reply is
                         // self-describing and order never matters.
@@ -233,6 +238,9 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
                             );
                             epochs.insert(reply.epoch);
                         }
+                        if last {
+                            break;
+                        }
                     }
                     (submitted, epochs)
                 })
@@ -250,7 +258,9 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
             assert_eq!(installed, k, "epochs count completed swaps");
             swap_log.push(installed);
         }
-        running.store(false, Ordering::Relaxed);
+        // Release: a client that sees the flag cleared submits after
+        // the final swap was installed.
+        running.store(false, Ordering::Release);
 
         let mut total = 0u64;
         let mut seen = BTreeSet::new();
